@@ -101,7 +101,12 @@ func TestCheckerRejectsImpossibleState(t *testing.T) {
 	}
 }
 
-func TestArtifactReplayRoundtrip(t *testing.T) {
+// roundTripArtifact runs Pc:x;y under Proteus to completion and dumps a
+// torn-fault reproducer of the final state into a fresh directory. It
+// returns the directory, the repro command line, and the outcome the
+// sweep's classifier gave the image.
+func roundTripArtifact(t *testing.T) (dir, repro string, outcome crashcampaign.Outcome, detail string) {
+	t.Helper()
 	p, err := Parse("Pc:x;y")
 	if err != nil {
 		t.Fatal(err)
@@ -130,11 +135,16 @@ func TestArtifactReplayRoundtrip(t *testing.T) {
 		Seed:  crashcampaign.InjectionSeed(7, "roundtrip"),
 	}
 	committed := committedCounts(sys)
-	outcome, detail := ck.classify(inj.Apply(sys, 1), inj.Fault, committed)
-	dir, repro, err := writeArtifact(conf, ck, compiled, sys, inj, sys.Cycle(), committed, outcome, detail)
+	outcome, detail = ck.classify(inj.Apply(sys, 1), inj.Fault, committed)
+	dir, repro, err = writeArtifact(conf, ck, compiled, sys, inj, sys.Cycle(), committed, outcome, detail)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dir, repro, outcome, detail
+}
+
+func TestArtifactReplayRoundtrip(t *testing.T) {
+	dir, repro, outcome, detail := roundTripArtifact(t)
 	if !strings.Contains(repro, "proteus-litmus -replay ") {
 		t.Fatalf("repro command %q lacks the replay invocation", repro)
 	}
@@ -145,7 +155,7 @@ func TestArtifactReplayRoundtrip(t *testing.T) {
 	if !res.Reproduced {
 		t.Fatalf("replay classified %s (%s), sweep recorded %s (%s)", res.Outcome, res.Detail, outcome, detail)
 	}
-	if res.Meta.Program != p.Name() || res.Meta.Scheme != scheme.String() || res.Meta.Fault != inj.Fault.String() {
+	if res.Meta.Program != "Pc:x;y" || res.Meta.Scheme != core.Proteus.String() || res.Meta.Fault != crashcampaign.FaultTorn.String() {
 		t.Fatalf("artifact meta mismatch: %+v", res.Meta)
 	}
 }
