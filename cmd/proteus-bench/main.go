@@ -37,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/resultstore"
@@ -61,11 +60,8 @@ func main() {
 		traceEpoch = flag.Uint64("trace-epoch", trace.DefaultEpoch, "cycles between trace samples (with -trace-dir)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
 		storeDir   = flag.String("store", "", "persistent result store directory: reruns of identical tuples are answered from disk")
-		stepperSel = flag.String("stepper", "fast", "cycle-advance strategy: fast (event-driven fast-forward) or reference (per-cycle)")
 	)
 	flag.Parse()
-	stepper, err := core.StepperByName(*stepperSel)
-	exitOn(err)
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			exitOn(err)
@@ -94,7 +90,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	econf := engine.Config{Workers: *jobs, JobTimeout: *jobTimeout, Stepper: stepper}
+	econf := engine.Config{Workers: *jobs, JobTimeout: *jobTimeout}
 	if *storeDir != "" {
 		st, err := resultstore.Open(*storeDir)
 		exitOn(err)

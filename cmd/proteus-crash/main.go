@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/config"
@@ -51,16 +50,15 @@ func main() {
 		wseed      = flag.Int64("wseed", 11, "workload seed")
 		seed       = flag.Int64("seed", 1, "campaign seed: crash-point choice and per-line fault randomness")
 		storeDir   = flag.String("store", "", "persistent result store directory for the underlying simulations")
-		stepperSel = flag.String("stepper", "fast", "cycle-advance strategy: fast (event-driven fast-forward) or reference (per-cycle)")
 		verbose    = flag.Bool("v", false, "log engine job activity to stderr")
 	)
 	flag.Parse()
 
 	faults, err := crashcampaign.ParseFaults(*faultsArg)
 	exitOn(err)
-	benches, err := parseBenches(*benchList)
+	benches, err := workload.ParseKinds(*benchList)
 	exitOn(err)
-	schemes, err := parseSchemes(*schemeList)
+	schemes, err := core.ParseSchemes(*schemeList)
 	exitOn(err)
 	var mode crashcampaign.MinimizeMode
 	switch *minimize {
@@ -74,10 +72,7 @@ func main() {
 		exitOn(fmt.Errorf("unknown -minimize mode %q (failed, all, off)", *minimize))
 	}
 
-	stepper, err := core.StepperByName(*stepperSel)
-	exitOn(err)
-
-	engCfg := engine.Config{Workers: *jobs, JobTimeout: *jobTimeout, Stepper: stepper}
+	engCfg := engine.Config{Workers: *jobs, JobTimeout: *jobTimeout}
 	if *storeDir != "" {
 		st, err := resultstore.Open(*storeDir)
 		exitOn(err)
@@ -97,7 +92,6 @@ func main() {
 		Params: workload.Params{Threads: *threads, InitOps: *initOps, SimOps: *simOps, Seed: *wseed,
 			SSItems: 256, SSStrSize: 256, ListNodes: 4, ListElems: 64},
 		Sim:         config.Default(),
-		Stepper:     stepper,
 		Sweep:       *sweep,
 		Rand:        *randPts,
 		Faults:      faults,
@@ -142,49 +136,6 @@ func main() {
 	if rep.Totals.Failed > 0 {
 		os.Exit(1)
 	}
-}
-
-func parseBenches(s string) ([]workload.Kind, error) {
-	if strings.EqualFold(s, "all") {
-		return workload.Table2, nil
-	}
-	var out []workload.Kind
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		found := false
-		for _, k := range workload.Table2 {
-			if strings.EqualFold(k.Abbrev(), name) {
-				out = append(out, k)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown benchmark %q", name)
-		}
-	}
-	return out, nil
-}
-
-func parseSchemes(s string) ([]core.Scheme, error) {
-	if strings.EqualFold(s, "all") {
-		var out []core.Scheme
-		for _, sc := range core.Schemes {
-			if sc.FailureSafe() {
-				out = append(out, sc)
-			}
-		}
-		return out, nil
-	}
-	var out []core.Scheme
-	for _, name := range strings.Split(s, ",") {
-		sc, err := crashcampaign.SchemeByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sc)
-	}
-	return out, nil
 }
 
 func exitOn(err error) {

@@ -10,13 +10,13 @@
 // a replayable reproducer.
 //
 // The report is deterministic in (flags, -seed): byte-identical at any
-// -jobs count and under either -stepper.
+// -jobs count.
 //
 // Examples:
 //
 //	proteus-litmus -programs curated -faults all -out litmus.json
 //	proteus-litmus -programs all -scheme Proteus,Proteus+NoLWR -jobs 8
-//	proteus-litmus -replay repro/Pc_x_y-Proteus-torn-c42
+//	proteus-litmus -replay repro/pc_x_y-proteus-torn-c42
 package main
 
 import (
@@ -43,7 +43,6 @@ func main() {
 		out         = flag.String("out", "-", "report destination (- = stdout)")
 		artifacts   = flag.String("artifacts", "", "dump divergence reproducers into this directory")
 		seed        = flag.Int64("seed", 1, "per-injection fault randomness seed")
-		stepperSel  = flag.String("stepper", "fast", "cycle-advance strategy: fast or reference")
 		replayDir   = flag.String("replay", "", "re-check a reproducer directory instead of sweeping")
 		quiet       = flag.Bool("q", false, "suppress the stderr summary")
 	)
@@ -56,11 +55,9 @@ func main() {
 
 	programs, err := parsePrograms(*programsArg)
 	exitOn(err)
-	schemes, err := parseSchemes(*schemeList)
+	schemes, err := core.ParseSchemes(*schemeList)
 	exitOn(err)
 	faults, err := crashcampaign.ParseFaults(*faultsArg)
-	exitOn(err)
-	stepper, err := core.StepperByName(*stepperSel)
 	exitOn(err)
 
 	cfg := litmus.Config{
@@ -69,7 +66,6 @@ func main() {
 		Faults:      faults,
 		Seed:        *seed,
 		Workers:     *jobs,
-		Stepper:     stepper,
 		ArtifactDir: *artifacts,
 		ReplayCmd:   "proteus-litmus",
 	}
@@ -139,27 +135,6 @@ func parsePrograms(s string) ([]litmus.Program, error) {
 			return nil, err
 		}
 		out = append(out, p)
-	}
-	return out, nil
-}
-
-func parseSchemes(s string) ([]core.Scheme, error) {
-	if strings.EqualFold(s, "all") {
-		var out []core.Scheme
-		for _, sc := range core.Schemes {
-			if sc.FailureSafe() {
-				out = append(out, sc)
-			}
-		}
-		return out, nil
-	}
-	var out []core.Scheme
-	for _, name := range strings.Split(s, ",") {
-		sc, err := crashcampaign.SchemeByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sc)
 	}
 	return out, nil
 }

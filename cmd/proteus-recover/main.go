@@ -57,7 +57,8 @@ func main() {
 	cfg := config.Default()
 
 	if *campaign != "" {
-		meta, err := crashcampaign.LoadArtifact(*campaign)
+		var meta crashcampaign.ArtifactMeta
+		stored, err := crashcampaign.LoadArtifact(filepath.Dir(*campaign), &meta)
 		exitOn(err)
 		fmt.Printf("replaying %s/%s %s@%d (campaign seed %d)\n",
 			meta.Bench, meta.Scheme, meta.Fault, meta.Cycle, meta.CampaignSeed)
@@ -68,30 +69,20 @@ func main() {
 		}
 		res, err := meta.Replay(ctx, cfg)
 		exitOn(err)
-		imgPath := filepath.Join(filepath.Dir(*campaign), meta.Image)
-		if stored, err := os.ReadFile(imgPath); err == nil {
-			var rebuilt bytes.Buffer
-			exitOn(res.Image.Serialize(&rebuilt))
-			if bytes.Equal(rebuilt.Bytes(), stored) {
-				fmt.Println("rebuilt crash image matches the stored artifact image")
-			} else {
-				fmt.Println("warning: rebuilt crash image differs from the stored artifact image")
-			}
+		var rebuilt, want bytes.Buffer
+		exitOn(res.Image.Serialize(&rebuilt))
+		exitOn(stored.Serialize(&want))
+		if bytes.Equal(rebuilt.Bytes(), want.Bytes()) {
+			fmt.Println("rebuilt crash image matches the stored artifact image")
+		} else {
+			fmt.Println("warning: rebuilt crash image differs from the stored artifact image")
 		}
 		os.Exit(recoverAndVerify(res))
 	}
 
-	var kind workload.Kind
-	found := false
-	for _, k := range workload.Table2 {
-		if strings.EqualFold(k.Abbrev(), *benchName) {
-			kind, found = k, true
-		}
-	}
-	if !found {
-		exitOn(fmt.Errorf("unknown benchmark %q", *benchName))
-	}
-	scheme, err := crashcampaign.SchemeByName(*schemeName)
+	kind, err := workload.KindByName(*benchName)
+	exitOn(err)
+	scheme, err := core.SchemeByName(*schemeName)
 	exitOn(err)
 	if !scheme.FailureSafe() {
 		exitOn(fmt.Errorf("scheme %q is not a failure-safe scheme", *schemeName))

@@ -47,15 +47,12 @@ func main() {
 		traceOut   = flag.String("trace", "", "write an epoch-sampled JSONL trace of the run to this file")
 		traceEpoch = flag.Uint64("trace-epoch", trace.DefaultEpoch, "cycles between trace samples")
 		storeDir   = flag.String("store", "", "persistent result store directory: reruns of an identical tuple are answered from disk")
-		stepperSel = flag.String("stepper", "fast", "cycle-advance strategy: fast (event-driven fast-forward) or reference (per-cycle)")
 	)
 	flag.Parse()
 
 	kind, err := workload.KindByName(*benchName)
 	exitOn(err)
 	scheme, err := core.SchemeByName(*schemeName)
-	exitOn(err)
-	stepper, err := core.StepperByName(*stepperSel)
 	exitOn(err)
 	memKind, err := config.ParseMemKind(*memName)
 	exitOn(err)
@@ -84,7 +81,7 @@ func main() {
 	defer stop()
 
 	fmt.Printf("building %v: threads=%d init=%d sim=%d ...\n", kind, p.Threads, p.InitOps, p.SimOps)
-	econf := engine.Config{Workers: 1, JobTimeout: *jobTimeout, Stepper: stepper}
+	econf := engine.Config{Workers: 1, JobTimeout: *jobTimeout}
 	if *storeDir != "" {
 		st, err := resultstore.Open(*storeDir)
 		exitOn(err)

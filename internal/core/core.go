@@ -100,6 +100,35 @@ func (s Scheme) ADR() bool { return s != PMEMPcommit }
 // across power failures. PMEM+nolog is the ideal case and is not safe.
 func (s Scheme) FailureSafe() bool { return s != PMEMNoLog }
 
+// FailureSafeSchemes lists the failure-safe schemes in presentation order:
+// the default matrix of crash campaigns and litmus sweeps.
+func FailureSafeSchemes() []Scheme {
+	var out []Scheme
+	for _, s := range Schemes {
+		if s.FailureSafe() {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// ParseSchemes resolves a comma-separated scheme list; "all" names the
+// failure-safe set.
+func ParseSchemes(list string) ([]Scheme, error) {
+	if strings.EqualFold(list, "all") {
+		return FailureSafeSchemes(), nil
+	}
+	var out []Scheme
+	for _, name := range strings.Split(list, ",") {
+		s, err := SchemeByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
 // Stepper selects the Step implementation.
 type Stepper int
 
@@ -110,32 +139,10 @@ const (
 	// form. It is cross-checked against StepperReference for byte-identical
 	// output by the equivalence tests and fuzz target.
 	StepperFast Stepper = iota
-	// StepperReference is the naive cycle-at-a-time stepper, retained as
-	// the correctness oracle and for bisection via -stepper=reference.
+	// StepperReference is the naive cycle-at-a-time stepper, retained only
+	// as the test oracle the fast stepper is checked against.
 	StepperReference
 )
-
-func (st Stepper) String() string {
-	switch st {
-	case StepperFast:
-		return "fast"
-	case StepperReference:
-		return "reference"
-	}
-	return fmt.Sprintf("Stepper(%d)", int(st))
-}
-
-// StepperByName resolves a stepper by name ("fast" or "reference"); the
-// shared parser for CLI flags and job specs.
-func StepperByName(name string) (Stepper, error) {
-	switch strings.ToLower(name) {
-	case "", "fast":
-		return StepperFast, nil
-	case "reference", "ref":
-		return StepperReference, nil
-	}
-	return 0, fmt.Errorf("core: unknown stepper %q (want fast or reference)", name)
-}
 
 // System is one assembled machine executing a fixed set of traces.
 type System struct {

@@ -3,6 +3,7 @@ package crashcampaign
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -68,11 +69,6 @@ type Config struct {
 	// RecoverCmd names the replay binary in generated repro command lines;
 	// empty means "proteus-recover".
 	RecoverCmd string
-	// Stepper selects the cycle-advance strategy for the sweep systems
-	// (the zero value is the event-driven fast stepper). The full-length
-	// reference runs executed through Engine follow the engine's own
-	// Stepper configuration instead.
-	Stepper core.Stepper
 }
 
 // Normalize fills defaulted fields (benchmark matrix, fault list, sweep
@@ -88,11 +84,7 @@ func (c *Config) fill() {
 		c.Benches = workload.Table2
 	}
 	if len(c.Schemes) == 0 {
-		for _, s := range core.Schemes {
-			if s.FailureSafe() {
-				c.Schemes = append(c.Schemes, s)
-			}
-		}
+		c.Schemes = core.FailureSafeSchemes()
 	}
 	if len(c.Faults) == 0 {
 		c.Faults = []Fault{FaultClean}
@@ -107,28 +99,24 @@ func (c *Config) fill() {
 }
 
 // tupleCtx holds everything needed to replay one (bench, scheme) tuple to
-// an arbitrary cycle. Traces and the workload are immutable during runs,
-// so concurrent chunks share them and build private Systems.
+// an arbitrary cycle and inject there. Traces and the workload are
+// immutable during runs, so concurrent chunks share them and build
+// private Systems.
 type tupleCtx struct {
-	camp    *Config
-	bench   workload.Kind
-	scheme  core.Scheme
-	cfg     config.Config
-	wl      *workload.Workload
-	traces  []*isa.Trace
-	oracle  *recovery.Oracle
-	threads int
-	sw      bool
-	job     engine.Job
+	Case
+	camp   *Config
+	bench  workload.Kind
+	wl     *workload.Workload
+	traces []*isa.Trace
 }
 
-// newSystem builds a fresh machine for the tuple.
-func (tc *tupleCtx) newSystem() (*core.System, error) {
-	sys, err := core.NewSystem(tc.cfg, tc.scheme, tc.traces, tc.wl.InitImage)
+// systemAt builds a fresh machine for the tuple and steps it to the cycle.
+func (tc *tupleCtx) systemAt(cycle uint64) (*core.System, error) {
+	sys, err := core.NewSystem(tc.camp.Sim, tc.Scheme, tc.traces, tc.wl.InitImage)
 	if err != nil {
 		return nil, err
 	}
-	sys.SetStepper(tc.camp.Stepper)
+	stepTo(sys, cycle)
 	return sys, nil
 }
 
@@ -139,61 +127,21 @@ func stepTo(sys *core.System, cycle uint64) {
 	}
 }
 
-func committedCounts(sys *core.System) []int {
-	commits := sys.Commits()
-	counts := make([]int, len(commits))
-	for i, cs := range commits {
-		counts[i] = len(cs)
+// prefixVerifier is the campaign's kernel verifier: the oracle's durable
+// transaction-prefix property, in its software-logging form for the
+// schemes that do not log freshly allocated memory.
+func prefixVerifier(o *recovery.Oracle, scheme core.Scheme) func(*nvm.Store, []int) error {
+	verify := o.VerifyPrefix
+	if softwareLogged(scheme) {
+		verify = o.VerifyPrefixSW
 	}
-	return counts
+	return func(img *nvm.Store, committed []int) error {
+		_, err := verify(img, committed)
+		return err
+	}
 }
 
-// classify runs recovery + oracle verification on the image and maps the
-// result through the expectation matrix.
-func (tc *tupleCtx) classify(img *nvm.Store, fault Fault, committed []int) (Outcome, string) {
-	_, rerr := recovery.Recover(img, tc.scheme, tc.threads)
-	if rerr != nil {
-		if !recovery.IsDetectedCorruption(rerr) {
-			return OutcomeFailed, "recovery error: " + rerr.Error()
-		}
-		if fault == FaultClean || expectSafe(tc.scheme, fault) {
-			// Nominal operation (or a fault inside the scheme's
-			// guarantees) must never leave a log recovery rejects.
-			return OutcomeFailed, "corruption detected in expected-safe run: " + rerr.Error()
-		}
-		return OutcomeDetected, rerr.Error()
-	}
-	verify := tc.oracle.VerifyPrefix
-	if tc.sw {
-		verify = tc.oracle.VerifyPrefixSW
-	}
-	if _, verr := verify(img, committed); verr != nil {
-		switch {
-		case expectSafe(tc.scheme, fault):
-			return OutcomeFailed, verr.Error()
-		case fault == FaultCorrupt && tc.scheme.FailureSafe():
-			// Recovery accepted a corrupted log and produced a wrong
-			// state: the one outcome the integrity layer exists to
-			// prevent.
-			return OutcomeFailed, "silent corruption accepted: " + verr.Error()
-		default:
-			return OutcomeVulnerable, verr.Error()
-		}
-	}
-	return OutcomeVerified, ""
-}
-
-// evaluateAt replays the tuple to the cycle and classifies one injection
-// there. The minimizer's predicate.
-func (tc *tupleCtx) evaluateAt(inj injection) (Outcome, string, error) {
-	sys, err := tc.newSystem()
-	if err != nil {
-		return "", "", err
-	}
-	stepTo(sys, inj.cycle)
-	out, detail := tc.classify(buildImage(sys, tc.threads, inj), inj.fault, committedCounts(sys))
-	return out, detail, nil
-}
+func softwareLogged(s core.Scheme) bool { return s == core.PMEM || s == core.PMEMPcommit }
 
 // crashPoints computes the tuple's crash points: Sweep evenly spaced
 // cycles plus Rand seeded-random ones, deduplicated and sorted.
@@ -320,19 +268,17 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 		return nil, fmt.Errorf("crashcampaign: %v/%v: %w", bench, scheme, err)
 	}
 	tc := &tupleCtx{
-		camp: c, bench: bench, scheme: scheme, cfg: c.Sim,
-		wl: wl, traces: traces, oracle: recovery.NewOracle(wl),
-		threads: c.Sim.Cores,
-		sw:      scheme == core.PMEM || scheme == core.PMEMPcommit,
-		job:     job,
+		Case: Case{Scheme: scheme, Threads: c.Sim.Cores,
+			Verify: prefixVerifier(recovery.NewOracle(wl), scheme)},
+		camp: c, bench: bench, wl: wl, traces: traces,
 	}
 
 	total := full.Report.Cycles
 	points := crashPoints(total, c.Sweep, c.Rand,
-		seedFor(c.Seed, bench.Abbrev(), scheme.String(), "points"))
+		SeedFor(c.Seed, bench.Abbrev(), scheme.String(), "points"))
 	var faults []Fault
 	for _, f := range c.Faults {
-		if f.appliesTo(scheme) {
+		if f.AppliesTo(scheme) {
 			faults = append(faults, f)
 		}
 	}
@@ -356,7 +302,7 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 		go func() {
 			defer wg.Done()
 			err := eng.Do(ctx, func(ctx context.Context) error {
-				sys, err := tc.newSystem()
+				sys, err := tc.systemAt(0)
 				if err != nil {
 					return err
 				}
@@ -365,14 +311,13 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 						return err
 					}
 					stepTo(sys, points[pi])
-					committed := committedCounts(sys)
+					committed := CommittedCounts(sys)
 					for fi, f := range faults {
-						inj := injection{
-							fault: f,
-							cycle: points[pi],
-							seed:  seedFor(c.Seed, bench.Abbrev(), scheme.String(), f.String(), fmt.Sprint(points[pi])),
+						inj := Injection{
+							Fault: f,
+							Seed:  SeedFor(c.Seed, bench.Abbrev(), scheme.String(), f.String(), fmt.Sprint(points[pi])),
 						}
-						out, detail := tc.classify(buildImage(sys, tc.threads, inj), f, committed)
+						out, detail := tc.Inject(sys, inj, committed)
 						results[pi*len(faults)+fi] = InjectionResult{
 							Cycle: points[pi], Fault: f.String(),
 							Outcome: out, Detail: detail,
@@ -438,4 +383,83 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 		rep.count(r.Outcome)
 	}
 	return rep, nil
+}
+
+// minimize reduces a failed injection: bisect the crash cycle down to the
+// earliest failing step (with the fault pattern pinned by the original
+// seed), then let the kernel shrink the fault mask there, and — when the
+// campaign has an artifact dir — dump a reproducer.
+func (tc *tupleCtx) minimize(ctx context.Context, r InjectionResult) (*Minimized, error) {
+	fault, err := FaultByName(r.Fault)
+	if err != nil {
+		return nil, err
+	}
+	inj := Injection{Fault: fault, Seed: SeedFor(tc.camp.Seed, tc.bench.Abbrev(), tc.Scheme.String(), r.Fault, fmt.Sprint(r.Cycle))}
+	bad := func(cycle uint64) (bool, error) {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		sys, err := tc.systemAt(cycle)
+		if err != nil {
+			return false, err
+		}
+		out, _ := tc.Inject(sys, inj, CommittedCounts(sys))
+		return badFor(r.Outcome, out), nil
+	}
+
+	// Bisect [0, cycle] for the earliest failing cycle. Cycle 0 (nothing
+	// executed, nothing pending) passes trivially, the original cycle
+	// fails by construction; the search maintains pass(lo) / fail(hi).
+	lo, hi := uint64(0), r.Cycle
+	if b, err := bad(0); err != nil {
+		return nil, err
+	} else if b {
+		hi = 0
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		b, err := bad(mid)
+		if err != nil {
+			return nil, err
+		}
+		if b {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+
+	sys, err := tc.systemAt(hi)
+	if err != nil {
+		return nil, err
+	}
+	committed := CommittedCounts(sys)
+	inj, targets, out, detail := tc.Reduce(sys, inj, committed, r.Outcome)
+	m := &Minimized{Cycle: hi, OriginalCycle: r.Cycle, Targets: targets, Mask: inj.Mask, Outcome: out, Detail: detail}
+	if tc.camp.ArtifactDir == "" {
+		return m, nil
+	}
+	dir := ArtifactDir(tc.camp.ArtifactDir, tc.bench.Abbrev(), tc.Scheme, fault, r.Cycle)
+	meta := ArtifactMeta{
+		Bench:             tc.bench.Abbrev(),
+		Scheme:            tc.Scheme.String(),
+		Params:            tc.camp.Params,
+		ConfigFingerprint: tc.camp.Sim.Fingerprint(),
+		CampaignSeed:      tc.camp.Seed,
+		Fault:             r.Fault,
+		FaultSeed:         inj.Seed,
+		Cycle:             hi,
+		OriginalCycle:     r.Cycle,
+		Mask:              inj.Mask,
+		Committed:         committed,
+		Outcome:           out,
+		Detail:            detail,
+		Image:             ImageFileName,
+	}
+	if err := WriteArtifact(dir, inj.Image(sys, tc.Threads), &meta); err != nil {
+		return nil, err
+	}
+	m.Artifact = dir
+	m.Repro = fmt.Sprintf("%s -campaign %s", tc.camp.RecoverCmd, filepath.Join(dir, MetaFileName))
+	return m, nil
 }

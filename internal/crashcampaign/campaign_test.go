@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -103,35 +104,6 @@ func TestDeterministicReport(t *testing.T) {
 	}
 }
 
-// TestStepperEquivalentReport: the campaign report bytes are identical
-// whether the sweep systems and engine runs use the fast event-driven
-// stepper or the per-cycle reference stepper.
-func TestStepperEquivalentReport(t *testing.T) {
-	render := func(st core.Stepper) []byte {
-		c := testConfig(4)
-		c.Engine = engine.New(engine.Config{Workers: 4, Stepper: st})
-		c.Stepper = st
-		c.Benches = []workload.Kind{workload.Queue, workload.StringSwap}
-		c.Sweep = 6
-		c.Rand = 2
-		c.Faults = AllFaults
-		rep, err := Run(context.Background(), c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	fast := render(core.StepperFast)
-	ref := render(core.StepperReference)
-	if !bytes.Equal(fast, ref) {
-		t.Fatalf("report differs between fast and reference steppers:\n--- fast ---\n%s\n--- reference ---\n%s", fast, ref)
-	}
-}
-
 // TestMinimizerProducesReproducer: a scheme that is not failure safe
 // yields vulnerable injections; with MinimizeAll each gets bisected to an
 // earlier-or-equal cycle and dumped as an artifact that replays to the
@@ -175,7 +147,8 @@ func TestMinimizerProducesReproducer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	meta, err := LoadArtifact(filepath.Join(min.Artifact, MetaFileName))
+	var meta ArtifactMeta
+	img, err := LoadArtifact(min.Artifact, &meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,16 +157,11 @@ func TestMinimizerProducesReproducer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The replayed image must be byte-identical to the stored one.
-	f, err := os.Open(filepath.Join(min.Artifact, ImageFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	var rebuilt, stored bytes.Buffer
 	if err := res.Image.Serialize(&rebuilt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stored.ReadFrom(f); err != nil {
+	if err := img.Serialize(&stored); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rebuilt.Bytes(), stored.Bytes()) {
@@ -226,5 +194,38 @@ func TestParseFaults(t *testing.T) {
 	}
 	if _, err := ParseFaults("nope"); err == nil {
 		t.Fatal("bad fault accepted")
+	}
+}
+
+// TestShrinkMask drives the shrinker with synthetic predicates: a single
+// culprit target comes back alone, a culprit pair comes back as the
+// pair, and no run exceeds the evaluation budget.
+func TestShrinkMask(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 64, 1000} {
+		for _, culprit := range []int{0, n / 2, n - 1} {
+			evals := 0
+			got := shrinkMask(n, func(mask []int) bool {
+				evals++
+				return slices.Contains(mask, culprit)
+			})
+			if !slices.Equal(got, []int{culprit}) {
+				t.Errorf("n=%d culprit=%d: shrunk to %v, want [%d]", n, culprit, got, culprit)
+			}
+			if evals > shrinkBudget {
+				t.Errorf("n=%d culprit=%d: %d evaluations, budget %d", n, culprit, evals, shrinkBudget)
+			}
+		}
+	}
+	got := shrinkMask(16, func(mask []int) bool {
+		return slices.Contains(mask, 3) && slices.Contains(mask, 12)
+	})
+	if !slices.Equal(got, []int{3, 12}) {
+		t.Errorf("culprit pair: shrunk to %v, want [3 12]", got)
+	}
+	// A predicate that never holds exhausts the budget, never more.
+	evals := 0
+	shrinkMask(4096, func([]int) bool { evals++; return false })
+	if evals != shrinkBudget {
+		t.Errorf("never-bad predicate: %d evaluations, want the full budget %d", evals, shrinkBudget)
 	}
 }

@@ -1,16 +1,23 @@
-// Package crashcampaign runs fault-injection campaigns over the
-// simulator: it sweeps crash points across (benchmark, scheme) tuples,
-// extracts crash images under several power-failure fault models, runs
-// recovery, checks the oracle's durable-transaction property, and
-// classifies every injection against an expectation matrix. Expected-safe
-// combinations that fail are automatically minimized (the crash point is
-// bisected to the earliest failing cycle and the fault mask shrunk) and
-// dumped as ready-to-replay reproducer artifacts.
+// Package crashcampaign is the simulator's crash-injection kernel and its
+// campaign point generator.
 //
-// Everything the campaign computes is deterministic in (config, seed):
-// crash points, per-injection randomness, result order, and the report
-// bytes are identical no matter how many engine workers execute the
-// sweep.
+// The kernel (Injection, Case, Classify, the mask shrinker and the
+// reproducer artifact format) applies a power-failure fault model to a
+// machine state, runs the scheme's recovery over the crash image, judges
+// the recovered image with a generator-supplied verifier, and classifies
+// the injection against the expectation matrix the schemes' ordering
+// axioms declare. Two point generators drive it: campaigns (Run) sweep
+// crash points across (benchmark, scheme) tuples and verify against the
+// recovery oracle's transaction-prefix property; the litmus harness
+// (package litmus) visits every persist state of tiny programs and
+// verifies against the axiomatic window.
+//
+// A campaign minimizes expected-safe failures — the crash point is
+// bisected to the earliest failing cycle and the fault mask shrunk — and
+// dumps them as ready-to-replay reproducer artifacts. Everything it
+// computes is deterministic in (config, seed): crash points,
+// per-injection randomness, result order, and the report bytes are
+// identical no matter how many engine workers execute the sweep.
 package crashcampaign
 
 import (
@@ -63,43 +70,52 @@ func (f Fault) String() string {
 // AllFaults lists every model in campaign order.
 var AllFaults = []Fault{FaultClean, FaultTorn, FaultADRLoss, FaultCorrupt}
 
+// FaultByName resolves a fault model by its name (clean, torn, adrloss,
+// corrupt).
+func FaultByName(name string) (Fault, error) {
+	for _, f := range AllFaults {
+		if faultNames[f] == name {
+			return f, nil
+		}
+	}
+	return 0, fmt.Errorf("crashcampaign: unknown fault %q (have clean, torn, adrloss, corrupt, all)", name)
+}
+
 // ParseFaults parses a comma-separated fault list ("torn,adrloss", or
-// "all"). FaultClean is always included first: the clean sweep is the
-// baseline every campaign needs.
+// "all") into NormalizeFaults order.
 func ParseFaults(s string) ([]Fault, error) {
-	out := []Fault{FaultClean}
-	seen := map[Fault]bool{FaultClean: true}
+	var out []Fault
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if name == "all" {
-			for _, f := range AllFaults {
-				if !seen[f] {
-					seen[f] = true
-					out = append(out, f)
-				}
+		switch name {
+		case "":
+		case "all":
+			out = append(out, AllFaults...)
+		default:
+			f, err := FaultByName(name)
+			if err != nil {
+				return nil, err
 			}
-			continue
+			out = append(out, f)
 		}
-		found := false
-		for f, n := range faultNames {
-			if n == name {
-				if !seen[f] {
-					seen[f] = true
-					out = append(out, f)
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("crashcampaign: unknown fault %q (have clean, torn, adrloss, corrupt, all)", name)
+	}
+	return NormalizeFaults(out), nil
+}
+
+// NormalizeFaults deduplicates a fault list into model order with
+// FaultClean always first: the clean sweep is the baseline every sweep
+// needs.
+func NormalizeFaults(faults []Fault) []Fault {
+	seen := map[Fault]bool{FaultClean: true}
+	out := []Fault{FaultClean}
+	for _, f := range faults {
+		if !seen[f] {
+			seen[f] = true
+			out = append(out, f)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return out
 }
 
 // QueuesLost reports whether the fault defeats the platform's ADR drain
@@ -121,9 +137,6 @@ func ExpectSafe(s core.Scheme, f Fault) bool {
 	return s.Ordering().ExpectSafe(f.QueuesLost())
 }
 
-// expectSafe is the internal spelling predating the exported API.
-func expectSafe(s core.Scheme, f Fault) bool { return ExpectSafe(s, f) }
-
 // AppliesTo reports whether injecting the fault into the scheme is
 // meaningful. ADR loss is a no-op for a scheme whose persistency domain
 // never included the queues (QueueDrain false in its ordering rules).
@@ -133,9 +146,6 @@ func (f Fault) AppliesTo(s core.Scheme) bool {
 	}
 	return true
 }
-
-// appliesTo is the internal spelling predating the exported API.
-func (f Fault) appliesTo(s core.Scheme) bool { return f.AppliesTo(s) }
 
 // mix hashes words into a well-distributed 64-bit value (splitmix64
 // finalization). Per-line fault decisions hash (seed, line identity)
@@ -154,9 +164,9 @@ func mix(vals ...uint64) uint64 {
 	return h
 }
 
-// seedFor derives the per-injection fault seed from the campaign seed and
-// the injection's identity.
-func seedFor(campaignSeed int64, parts ...string) uint64 {
+// SeedFor derives a per-injection fault seed from a sweep seed and the
+// injection's identity (subject, scheme, fault, cycle).
+func SeedFor(campaignSeed int64, parts ...string) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d", campaignSeed)
 	for _, p := range parts {
@@ -166,15 +176,15 @@ func seedFor(campaignSeed int64, parts ...string) uint64 {
 	return h.Sum64()
 }
 
-// injection is one planned fault injection at one crash point.
-type injection struct {
-	fault Fault
-	cycle uint64
-	seed  uint64
-	// mask, when non-nil, restricts the fault to the listed target
-	// indexes (pending-line index for torn, sorted-log-line index for
-	// corrupt). nil faults every target. The minimizer shrinks it.
-	mask []int
+// Injection is one fault applied at a crash state. Seed feeds the
+// stateless per-line fault randomness; Mask, when non-nil, restricts the
+// fault to the listed target indexes (pending-line index for torn,
+// sorted-log-line index for corrupt) — nil faults every target. The
+// shrinker narrows it.
+type Injection struct {
+	Fault Fault
+	Seed  uint64
+	Mask  []int
 }
 
 func maskSet(mask []int) map[int]bool {
@@ -208,32 +218,34 @@ func logLines(img *nvm.Store, threads int) []uint64 {
 	return out
 }
 
-// buildImage extracts the crash image the injection leaves behind.
-func buildImage(sys *core.System, threads int, inj injection) *nvm.Store {
-	switch inj.fault {
+// Image extracts the crash image the injection leaves behind at the
+// system's current state. The system is neither advanced nor mutated, so
+// one state can be injected any number of times.
+func (inj Injection) Image(sys *core.System, threads int) *nvm.Store {
+	switch inj.Fault {
 	case FaultClean:
 		return sys.CrashImage()
 	case FaultADRLoss:
 		return sys.CrashImageWith(memctrl.CrashFault{ADR: false})
 	case FaultTorn:
-		sel := maskSet(inj.mask)
+		sel := maskSet(inj.Mask)
 		return sys.CrashImageWith(memctrl.CrashFault{
 			ADR: sys.ADR(),
 			Torn: func(idx int, addr uint64) int {
 				if sel != nil && !sel[idx] {
 					return 8 // not selected: the whole line persists
 				}
-				return tornWords(inj.seed, idx)
+				return tornWords(inj.Seed, idx)
 			},
 		})
 	case FaultCorrupt:
 		img := sys.CrashImage()
-		sel := maskSet(inj.mask)
+		sel := maskSet(inj.Mask)
 		for i, addr := range logLines(img, threads) {
 			if sel != nil && !sel[i] {
 				continue
 			}
-			bit := mix(inj.seed, 0xC0FF, addr) % (isa.LineSize * 8)
+			bit := mix(inj.Seed, 0xC0FF, addr) % (isa.LineSize * 8)
 			line := img.Read(addr, isa.LineSize)
 			line[bit/8] ^= 1 << (bit % 8)
 			img.Write(addr, line)
@@ -243,45 +255,15 @@ func buildImage(sys *core.System, threads int, inj injection) *nvm.Store {
 	return sys.CrashImage()
 }
 
-// maskTargets returns how many targets the injection's fault has at this
-// system state — the universe the minimizer's mask shrink works over.
-func maskTargets(sys *core.System, threads int, f Fault) int {
-	switch f {
+// Targets returns the size of the fault's target universe at the
+// system's current state — the index space a Mask selects from (pending
+// lines for torn, materialized log lines for corrupt, 0 for the rest).
+func (inj Injection) Targets(sys *core.System, threads int) int {
+	switch inj.Fault {
 	case FaultTorn:
 		return len(sys.PendingLines(sys.ADR()))
 	case FaultCorrupt:
 		return len(logLines(sys.CrashImage(), threads))
 	}
 	return 0
-}
-
-// Injection is an exported fault-application handle for other harnesses
-// (the litmus sweep) that drive their own crash-point schedules through
-// the campaign's fault machinery. Seed feeds the same stateless per-line
-// randomness the campaign uses; Mask, when non-nil, restricts the fault
-// to the listed target indexes exactly as the minimizer's masks do.
-type Injection struct {
-	Fault Fault
-	Seed  uint64
-	Mask  []int
-}
-
-// Apply extracts the crash image the injection leaves behind at the
-// system's current state. The system is not advanced or mutated.
-func (in Injection) Apply(sys *core.System, threads int) *nvm.Store {
-	return buildImage(sys, threads, injection{fault: in.Fault, seed: in.Seed, mask: in.Mask})
-}
-
-// Targets returns the size of the fault's target universe at the system's
-// current state — the index space a Mask selects from (pending lines for
-// torn, materialized log lines for corrupt, 0 for the rest).
-func (in Injection) Targets(sys *core.System, threads int) int {
-	return maskTargets(sys, threads, in.Fault)
-}
-
-// InjectionSeed derives a deterministic per-injection fault seed from a
-// campaign seed and the injection's identity, exactly as the campaign
-// does internally.
-func InjectionSeed(campaignSeed int64, parts ...string) uint64 {
-	return seedFor(campaignSeed, parts...)
 }

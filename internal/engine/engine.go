@@ -161,10 +161,6 @@ type Config struct {
 	// simulations are written back so identical tuples in later
 	// processes (or other transports) are near-instant.
 	Store ResultStore
-	// Stepper selects the simulation stepper for every job (the zero
-	// value is the event-driven fast path; core.StepperReference retains
-	// the cycle-at-a-time oracle for bisection).
-	Stepper core.Stepper
 }
 
 // Counters reports what an engine has executed so far.
@@ -431,7 +427,6 @@ func (e *Engine) simulate1(ctx context.Context, j Job) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: %v: %w", j, err)
 	}
-	sys.SetStepper(e.conf.Stepper)
 	var tr *trace.Tracer
 	if e.conf.Trace != nil {
 		tr, err = e.conf.Trace(j)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/trace"
 )
@@ -38,9 +37,9 @@ func (tc *traceCapture) hook(j engine.Job) (*trace.Tracer, error) {
 // results are keyed, not ordered by completion, and each simulation runs
 // on a single goroutine. Covers Figure 6 and the WPQ drain-age ablation.
 func TestEngineDeterminismAcrossWorkers(t *testing.T) {
-	render := func(workers int, stepper core.Stepper) ([]byte, engine.Counters, map[string]*bytes.Buffer) {
+	render := func(workers int) ([]byte, engine.Counters, map[string]*bytes.Buffer) {
 		tc := newTraceCapture()
-		eng := engine.New(engine.Config{Workers: workers, Trace: tc.hook, Stepper: stepper})
+		eng := engine.New(engine.Config{Workers: workers, Trace: tc.hook})
 		s := NewSuite(context.Background(), Quick(), eng)
 		f6, err := s.Figure6()
 		if err != nil {
@@ -60,28 +59,10 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 		return buf.Bytes(), eng.Counters(), tc.bufs
 	}
 
-	serial, c1, tr1 := render(1, core.StepperFast)
-	parallel, c8, tr8 := render(8, core.StepperFast)
+	serial, c1, tr1 := render(1)
+	parallel, c8, tr8 := render(8)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("tables differ between jobs=1 and jobs=8:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", serial, parallel)
-	}
-	// The event-driven fast-forward stepper is the default; the per-cycle
-	// reference stepper must produce the same tables and traces.
-	reference, cRef, trRef := render(1, core.StepperReference)
-	if !bytes.Equal(serial, reference) {
-		t.Fatalf("tables differ between fast and reference steppers:\n--- fast ---\n%s\n--- reference ---\n%s", serial, reference)
-	}
-	if c1.Simulated != cRef.Simulated {
-		t.Errorf("simulation counts differ across steppers: %d vs %d", c1.Simulated, cRef.Simulated)
-	}
-	for fp, b1 := range tr1 {
-		bRef, ok := trRef[fp]
-		if !ok {
-			t.Fatalf("job %s traced under fast stepper but not under reference", fp)
-		}
-		if !bytes.Equal(b1.Bytes(), bRef.Bytes()) {
-			t.Errorf("trace for job %s differs between fast and reference steppers", fp)
-		}
 	}
 	if c1.Simulated != c8.Simulated {
 		t.Errorf("simulation counts differ: %d vs %d", c1.Simulated, c8.Simulated)

@@ -1,15 +1,10 @@
 package litmus
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/crashcampaign"
-	"repro/internal/nvm"
 )
 
 // ArtifactMeta is the replay descriptor of a litmus reproducer: enough
@@ -28,94 +23,33 @@ type ArtifactMeta struct {
 	Outcome   string `json:"outcome"`
 	Detail    string `json:"detail,omitempty"`
 	// Image names the serialized faulted crash image in the artifact
-	// directory (the crash campaign's NVMIMG format and file name).
+	// directory (the kernel's ImageFileName).
 	Image string `json:"image"`
 }
 
-// writeArtifact dumps one divergence as a replayable reproducer: the
-// faulted (pre-recovery) crash image plus the meta descriptor, using the
-// crash campaign's artifact file names. The injection is re-applied to
-// the live system — Apply is pure, so the stored image is exactly the
-// one the classifier judged (with the minimized mask).
-func writeArtifact(c *Config, ck *checker, compiled *Compiled, sys *core.System, inj crashcampaign.Injection, cycle uint64, committed []int, outcome crashcampaign.Outcome, detail string) (dir, repro string, err error) {
-	name := fmt.Sprintf("%s-%s-%s-c%d", sanitize(compiled.Prog.Name()), sanitize(ck.scheme.String()), inj.Fault, cycle)
-	dir = filepath.Join(c.ArtifactDir, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", "", err
-	}
-	img := inj.Apply(sys, len(compiled.Prog.Threads))
-	f, err := os.Create(filepath.Join(dir, crashcampaign.ImageFileName))
-	if err != nil {
-		return "", "", err
-	}
-	if err := img.Serialize(f); err != nil {
-		f.Close()
-		return "", "", err
-	}
-	if err := f.Close(); err != nil {
-		return "", "", err
-	}
+// writeArtifact dumps one divergence of the program as a replayable
+// reproducer in the kernel's artifact format. The injection is re-applied
+// to the live system — Image is pure, so the stored image is exactly the
+// one the classifier judged.
+func writeArtifact(c *Config, program string, kc crashcampaign.Case, sys *core.System, inj crashcampaign.Injection, committed []int, outcome crashcampaign.Outcome, detail string) (dir, repro string, err error) {
+	dir = crashcampaign.ArtifactDir(c.ArtifactDir, program, kc.Scheme, inj.Fault, sys.Cycle())
 	meta := ArtifactMeta{
 		Type:      "litmus",
-		Program:   compiled.Prog.Name(),
-		Scheme:    ck.scheme.String(),
+		Program:   program,
+		Scheme:    kc.Scheme.String(),
 		Fault:     inj.Fault.String(),
-		Cycle:     cycle,
+		Cycle:     sys.Cycle(),
 		Seed:      inj.Seed,
 		Mask:      inj.Mask,
-		Committed: append([]int(nil), committed...),
+		Committed: committed,
 		Outcome:   string(outcome),
 		Detail:    detail,
 		Image:     crashcampaign.ImageFileName,
 	}
-	data, err := json.MarshalIndent(&meta, "", "  ")
-	if err != nil {
-		return "", "", err
-	}
-	if err := os.WriteFile(filepath.Join(dir, crashcampaign.MetaFileName), append(data, '\n'), 0o644); err != nil {
+	if err := crashcampaign.WriteArtifact(dir, inj.Image(sys, kc.Threads), &meta); err != nil {
 		return "", "", err
 	}
 	return dir, fmt.Sprintf("%s -replay %s", c.ReplayCmd, dir), nil
-}
-
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
-}
-
-// LoadArtifact reads a reproducer directory.
-func LoadArtifact(path string) (*ArtifactMeta, *nvm.Store, error) {
-	data, err := os.ReadFile(filepath.Join(path, crashcampaign.MetaFileName))
-	if err != nil {
-		return nil, nil, err
-	}
-	var m ArtifactMeta
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, nil, fmt.Errorf("litmus: parsing %s: %w", crashcampaign.MetaFileName, err)
-	}
-	if m.Type != "litmus" {
-		return nil, nil, fmt.Errorf("litmus: artifact %s has type %q, want litmus", path, m.Type)
-	}
-	img := m.Image
-	if img == "" {
-		img = crashcampaign.ImageFileName
-	}
-	f, err := os.Open(filepath.Join(path, img))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	store, err := nvm.ReadSerialized(f)
-	if err != nil {
-		return nil, nil, fmt.Errorf("litmus: reading image: %w", err)
-	}
-	return &m, store, nil
 }
 
 // ReplayResult is the outcome of re-checking a reproducer.
@@ -131,29 +65,26 @@ type ReplayResult struct {
 // Replay re-runs recovery and the axiomatic check over a reproducer's
 // stored crash image. No simulation happens: the image already carries
 // the fault, and the stored committed counts pin the axiomatic window.
-func Replay(path string) (*ReplayResult, error) {
-	m, img, err := LoadArtifact(path)
+func Replay(dir string) (*ReplayResult, error) {
+	var m ArtifactMeta
+	img, err := crashcampaign.LoadArtifact(dir, &m)
 	if err != nil {
 		return nil, err
+	}
+	if m.Type != "litmus" {
+		return nil, fmt.Errorf("litmus: artifact %s has type %q, want litmus", dir, m.Type)
 	}
 	prog, err := Parse(m.Program)
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := crashcampaign.SchemeByName(m.Scheme)
+	scheme, err := core.SchemeByName(m.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	var fault crashcampaign.Fault
-	found := false
-	for _, f := range crashcampaign.AllFaults {
-		if f.String() == m.Fault {
-			fault, found = f, true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("litmus: unknown fault %q in artifact", m.Fault)
+	fault, err := crashcampaign.FaultByName(m.Fault)
+	if err != nil {
+		return nil, err
 	}
 	compiled, err := prog.Compile()
 	if err != nil {
@@ -162,10 +93,10 @@ func Replay(path string) (*ReplayResult, error) {
 	if len(m.Committed) != len(prog.Threads) {
 		return nil, fmt.Errorf("litmus: artifact has %d committed counts for %d threads", len(m.Committed), len(prog.Threads))
 	}
-	ck := newChecker(compiled, scheme)
-	outcome, detail := ck.classify(img, fault, m.Committed)
+	kc := crashcampaign.Case{Scheme: scheme, Threads: len(prog.Threads), Verify: newChecker(compiled, scheme).permitted}
+	outcome, detail := kc.Classify(img, fault, m.Committed)
 	return &ReplayResult{
-		Meta:       m,
+		Meta:       &m,
 		Outcome:    outcome,
 		Detail:     detail,
 		Reproduced: string(outcome) == m.Outcome,

@@ -4,20 +4,19 @@ import (
 	"bytes"
 	"context"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // The report is the CI gate's ground truth, so its bytes must not depend
 // on scheduling: the same (config, seed) produces the identical report at
-// any worker count and under either cycle stepper.
+// any worker count. (The fast stepper's agreement with the per-cycle
+// reference stepper is checked at every cycle of a litmus program in
+// core's TestFastForwardCrashPointEquivalence.)
 func TestReportBytesAreDeterministic(t *testing.T) {
-	render := func(workers int, stepper core.Stepper) []byte {
+	render := func(workers int) []byte {
 		rep, err := Run(context.Background(), Config{
 			Programs: Curated(),
 			Seed:     42,
 			Workers:  workers,
-			Stepper:  stepper,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -29,18 +28,10 @@ func TestReportBytesAreDeterministic(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	base := render(1, core.StepperFast)
-	for _, v := range []struct {
-		name    string
-		workers int
-		stepper core.Stepper
-	}{
-		{"workers=8 stepper=fast", 8, core.StepperFast},
-		{"workers=1 stepper=reference", 1, core.StepperReference},
-		{"workers=5 stepper=reference", 5, core.StepperReference},
-	} {
-		if got := render(v.workers, v.stepper); !bytes.Equal(got, base) {
-			t.Fatalf("report bytes differ for %s (len %d vs %d)", v.name, len(got), len(base))
+	base := render(1)
+	for _, workers := range []int{5, 8} {
+		if got := render(workers); !bytes.Equal(got, base) {
+			t.Fatalf("report bytes differ for workers=%d (len %d vs %d)", workers, len(got), len(base))
 		}
 	}
 }

@@ -10,9 +10,11 @@
 // the harness reports it with the earliest divergent cycle, a shrunken
 // fault mask, and a replayable reproducer artifact.
 //
-// Everything the harness computes is deterministic in (config, seed): the
-// report bytes are identical at any worker count and under either cycle
-// stepper.
+// The harness is the crash-injection kernel's second point generator
+// (package crashcampaign): the kernel injects, classifies, shrinks fault
+// masks and writes reproducers; the harness supplies the persist states
+// and the axiomatic verifier. Everything it computes is deterministic in
+// (config, seed): the report bytes are identical at any worker count.
 package litmus
 
 import (

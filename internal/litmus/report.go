@@ -83,7 +83,7 @@ type Info struct {
 
 // Report is the suite result. It contains no wall-clock or
 // order-of-completion data: marshaling it is byte-identical for the same
-// (config, seed) at any worker count and under either stepper.
+// (config, seed) at any worker count.
 type Report struct {
 	Suite  Info         `json:"suite"`
 	Cases  []CaseReport `json:"cases"`

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/config"
@@ -26,9 +25,6 @@ type Config struct {
 	Seed int64
 	// Workers bounds concurrent case sweeps (0 = GOMAXPROCS).
 	Workers int
-	// Stepper selects the cycle-advance strategy (zero value = fast).
-	// The report is byte-identical under either.
-	Stepper core.Stepper
 	// ArtifactDir, when set, receives one reproducer directory per
 	// divergence.
 	ArtifactDir string
@@ -42,25 +38,12 @@ func (c *Config) fill() {
 		c.Programs = Enumerate()
 	}
 	if len(c.Schemes) == 0 {
-		for _, s := range core.Schemes {
-			if s.FailureSafe() {
-				c.Schemes = append(c.Schemes, s)
-			}
-		}
+		c.Schemes = core.FailureSafeSchemes()
 	}
 	if len(c.Faults) == 0 {
 		c.Faults = crashcampaign.AllFaults
 	} else {
-		seen := map[crashcampaign.Fault]bool{crashcampaign.FaultClean: true}
-		faults := []crashcampaign.Fault{crashcampaign.FaultClean}
-		for _, f := range c.Faults {
-			if !seen[f] {
-				seen[f] = true
-				faults = append(faults, f)
-			}
-		}
-		sort.Slice(faults, func(i, j int) bool { return faults[i] < faults[j] })
-		c.Faults = faults
+		c.Faults = crashcampaign.NormalizeFaults(c.Faults)
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -181,28 +164,26 @@ func runCase(c *Config, prog Program, scheme core.Scheme) (CaseReport, error) {
 	if err != nil {
 		return cr, err
 	}
-	ck := newChecker(compiled, scheme)
+	kc := crashcampaign.Case{Scheme: scheme, Threads: threads, Verify: newChecker(compiled, scheme).permitted}
 	sys, err := core.NewSystem(cfg, scheme, traces, compiled.WL.InitImage)
 	if err != nil {
 		return cr, err
 	}
-	sys.SetStepper(c.Stepper)
 
-	// firstDiv remembers which faults already produced their minimized
+	// firstDiv remembers which faults already produced their reduced
 	// earliest divergence for this case.
 	firstDiv := make(map[crashcampaign.Fault]bool)
 	seen := make(map[persistKey]bool)
 	for !sys.Finished() {
 		sys.Step(1)
+		committed := crashcampaign.CommittedCounts(sys)
 		key := persistKey{sig: sys.PersistSig()}
-		for t, n := range committedCounts(sys) {
-			key.committed[t] = n
-		}
+		copy(key.committed[:], committed)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		if err := classifyState(c, &cr, ck, sys, compiled, firstDiv); err != nil {
+		if err := classifyState(c, &cr, kc, sys, committed, firstDiv); err != nil {
 			return cr, err
 		}
 	}
@@ -212,46 +193,30 @@ func runCase(c *Config, prog Program, scheme core.Scheme) (CaseReport, error) {
 }
 
 // classifyState evaluates every applicable fault at the system's current
-// state, counting outcomes and recording (minimizing, dumping) the first
-// divergence per fault.
-func classifyState(c *Config, cr *CaseReport, ck *checker, sys *core.System, compiled *Compiled, firstDiv map[crashcampaign.Fault]bool) error {
-	threads := len(compiled.Prog.Threads)
-	committed := committedCounts(sys)
+// state, counting outcomes and recording the first divergence per fault.
+// States are visited in cycle order, so that divergence is the earliest
+// one; the kernel shrinks its fault mask and, with an artifact dir, it is
+// dumped as a reproducer.
+func classifyState(c *Config, cr *CaseReport, kc crashcampaign.Case, sys *core.System, committed []int, firstDiv map[crashcampaign.Fault]bool) error {
 	cycle := sys.Cycle()
 	for _, f := range c.Faults {
-		if !f.AppliesTo(ck.scheme) {
+		if !f.AppliesTo(kc.Scheme) {
 			continue
 		}
 		inj := crashcampaign.Injection{
 			Fault: f,
-			Seed: crashcampaign.InjectionSeed(c.Seed,
-				cr.Program, cr.Scheme, f.String(), fmt.Sprint(cycle)),
+			Seed:  crashcampaign.SeedFor(c.Seed, cr.Program, cr.Scheme, f.String(), fmt.Sprint(cycle)),
 		}
-		outcome, detail := ck.classify(inj.Apply(sys, threads), f, committed)
+		outcome, _ := kc.Inject(sys, inj, committed)
 		cr.count(outcome)
 		if outcome != crashcampaign.OutcomeFailed || firstDiv[f] {
 			continue
 		}
 		firstDiv[f] = true
-		div := Divergence{Fault: f.String(), Cycle: cycle, Detail: detail}
-		div.Targets = inj.Targets(sys, threads)
-		// Shrink the fault mask to a single target when one suffices: the
-		// masks are tiny (pending lines / log lines of a 2–4 store
-		// program), so a linear scan is exhaustive.
-		if div.Targets > 1 {
-			for i := 0; i < div.Targets; i++ {
-				one := inj
-				one.Mask = []int{i}
-				if o, d := ck.classify(one.Apply(sys, threads), f, committed); o == crashcampaign.OutcomeFailed {
-					inj = one
-					div.Mask = one.Mask
-					div.Detail = d
-					break
-				}
-			}
-		}
+		inj, targets, _, detail := kc.Reduce(sys, inj, committed, outcome)
+		div := Divergence{Fault: f.String(), Cycle: cycle, Detail: detail, Targets: targets, Mask: inj.Mask}
 		if c.ArtifactDir != "" {
-			dir, repro, err := writeArtifact(c, ck, compiled, sys, inj, cycle, committed, outcome, div.Detail)
+			dir, repro, err := writeArtifact(c, cr.Program, kc, sys, inj, committed, outcome, detail)
 			if err != nil {
 				return err
 			}
@@ -260,13 +225,4 @@ func classifyState(c *Config, cr *CaseReport, ck *checker, sys *core.System, com
 		cr.Divergences = append(cr.Divergences, div)
 	}
 	return nil
-}
-
-func committedCounts(sys *core.System) []int {
-	commits := sys.Commits()
-	counts := make([]int, len(commits))
-	for i, cs := range commits {
-		counts[i] = len(cs)
-	}
-	return counts
 }

@@ -129,14 +129,14 @@ func roundTripArtifact(t *testing.T) (dir, repro string, outcome crashcampaign.O
 		sys.Step(10000)
 	}
 	conf := &Config{ArtifactDir: t.TempDir(), ReplayCmd: "proteus-litmus"}
-	ck := newChecker(compiled, scheme)
+	kc := crashcampaign.Case{Scheme: scheme, Threads: 1, Verify: newChecker(compiled, scheme).permitted}
 	inj := crashcampaign.Injection{
 		Fault: crashcampaign.FaultTorn,
-		Seed:  crashcampaign.InjectionSeed(7, "roundtrip"),
+		Seed:  crashcampaign.SeedFor(7, "roundtrip"),
 	}
-	committed := committedCounts(sys)
-	outcome, detail = ck.classify(inj.Apply(sys, 1), inj.Fault, committed)
-	dir, repro, err = writeArtifact(conf, ck, compiled, sys, inj, sys.Cycle(), committed, outcome, detail)
+	committed := crashcampaign.CommittedCounts(sys)
+	outcome, detail = kc.Inject(sys, inj, committed)
+	dir, repro, err = writeArtifact(conf, p.Name(), kc, sys, inj, committed, outcome, detail)
 	if err != nil {
 		t.Fatal(err)
 	}

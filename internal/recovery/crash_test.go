@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/crashcampaign"
 	"repro/internal/logging"
 	"repro/internal/recovery"
 	"repro/internal/workload"
@@ -37,16 +38,6 @@ func newSystem(t *testing.T, w *workload.Workload, cfg config.Config, scheme cor
 	return sys
 }
 
-// committedCounts extracts per-core commit counts.
-func committedCounts(sys *core.System) []int {
-	commits := sys.Commits()
-	counts := make([]int, len(commits))
-	for i, cs := range commits {
-		counts[i] = len(cs)
-	}
-	return counts
-}
-
 // TestCrashRecoveryAtomicity walks every failure-safe scheme forward in
 // small steps, and at each step extracts a crash image, runs recovery, and
 // verifies the durable-transaction property: the recovered persistent
@@ -75,7 +66,7 @@ func TestCrashRecoveryAtomicity(t *testing.T) {
 						if scheme == core.PMEM || scheme == core.PMEMPcommit {
 							verify = oracle.VerifyPrefixSW
 						}
-						if _, err := verify(img, committedCounts(sys)); err != nil {
+						if _, err := verify(img, crashcampaign.CommittedCounts(sys)); err != nil {
 							t.Fatalf("cycle %d: %v", sys.Cycle(), err)
 						}
 						points++
@@ -99,7 +90,7 @@ func TestNoLogIsNotFailureSafe(t *testing.T) {
 	for !sys.Finished() && !torn {
 		sys.Step(97)
 		img := sys.CrashImage()
-		if _, err := oracle.VerifyPrefix(img, committedCounts(sys)); err != nil {
+		if _, err := oracle.VerifyPrefix(img, crashcampaign.CommittedCounts(sys)); err != nil {
 			torn = true
 		}
 	}
@@ -123,7 +114,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 	if _, err := recovery.Recover(img, core.Proteus, cfg.Cores); err != nil {
 		t.Fatalf("second recovery pass failed: %v", err)
 	}
-	if _, err := oracle.VerifyPrefix(img, committedCounts(sys)); err != nil {
+	if _, err := oracle.VerifyPrefix(img, crashcampaign.CommittedCounts(sys)); err != nil {
 		t.Fatalf("state after double recovery: %v", err)
 	}
 }

@@ -158,13 +158,11 @@ func compile(s Spec) (*job, error) {
 			j.opts.Seed = s.Seed
 		}
 	case "campaign":
-		benches, err := splitParse(defaultStr(s.Benches, "QE"), func(n string) (workload.Kind, error) {
-			return workload.KindByName(n)
-		})
+		benches, err := workload.ParseKinds(defaultStr(s.Benches, "QE"))
 		if err != nil {
 			return nil, err
 		}
-		schemes, err := splitParse(defaultStr(s.Schemes, "Proteus"), core.SchemeByName)
+		schemes, err := core.ParseSchemes(defaultStr(s.Schemes, "Proteus"))
 		if err != nil {
 			return nil, err
 		}
@@ -306,18 +304,6 @@ func (j *job) execute(ctx context.Context, eng *engine.Engine, clu *cluster.Coor
 		}
 		return json.Marshal(rep)
 	}
-}
-
-func splitParse[T any](s string, parse func(string) (T, error)) ([]T, error) {
-	var out []T
-	for _, name := range strings.Split(s, ",") {
-		v, err := parse(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func defaultStr(s, d string) string {

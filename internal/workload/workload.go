@@ -79,6 +79,23 @@ func KindByName(name string) (Kind, error) {
 	return 0, fmt.Errorf("workload: unknown benchmark %q (want QE, HM, SS, AT, BT, RT, LL)", name)
 }
 
+// ParseKinds resolves a comma-separated benchmark list; "all" names the
+// Table 2 set.
+func ParseKinds(list string) ([]Kind, error) {
+	if strings.EqualFold(list, "all") {
+		return Table2, nil
+	}
+	var out []Kind
+	for _, name := range strings.Split(list, ",") {
+		k, err := KindByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, k)
+	}
+	return out, nil
+}
+
 // Params configures a workload build.
 type Params struct {
 	Threads int
