@@ -226,10 +226,7 @@ func AssembleReport(c Config, tuples []*TupleReport) *Report {
 		rep.Tuples = append(rep.Tuples, *tr)
 		rep.Totals.Tuples++
 		rep.Totals.Injections += len(tr.Injections)
-		rep.Totals.Verified += tr.Verified
-		rep.Totals.Detected += tr.Detected
-		rep.Totals.Vulnerable += tr.Vulnerable
-		rep.Totals.Failed += tr.Failed
+		rep.Totals.Add(tr.Tally)
 		for _, ir := range tr.Injections {
 			if ir.Minimized != nil {
 				rep.Totals.Minimized++
@@ -380,7 +377,7 @@ func runTuple(ctx context.Context, c *Config, bench workload.Kind, scheme core.S
 		Injections:  results,
 	}
 	for _, r := range results {
-		rep.count(r.Outcome)
+		rep.Count(r.Outcome)
 	}
 	return rep, nil
 }

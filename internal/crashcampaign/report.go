@@ -67,21 +67,15 @@ type TupleReport struct {
 	TotalCycles uint64            `json:"total_cycles"`
 	Points      []uint64          `json:"points"`
 	Injections  []InjectionResult `json:"injections"`
-	Verified    int               `json:"verified"`
-	Detected    int               `json:"detected"`
-	Vulnerable  int               `json:"vulnerable"`
-	Failed      int               `json:"failed"`
+	Tally
 }
 
 // Totals aggregates the campaign.
 type Totals struct {
 	Tuples     int `json:"tuples"`
 	Injections int `json:"injections"`
-	Verified   int `json:"verified"`
-	Detected   int `json:"detected"`
-	Vulnerable int `json:"vulnerable"`
-	Failed     int `json:"failed"`
-	Minimized  int `json:"minimized"`
+	Tally
+	Minimized int `json:"minimized"`
 }
 
 // Info records the campaign's inputs so a report is self-describing.
@@ -115,8 +109,25 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// count tallies an outcome into the tuple report.
-func (t *TupleReport) count(o Outcome) {
+// Tally counts injections per outcome class. Campaign and litmus reports
+// embed it, so its fields marshal inline.
+type Tally struct {
+	Verified   int `json:"verified"`
+	Detected   int `json:"detected"`
+	Vulnerable int `json:"vulnerable"`
+	Failed     int `json:"failed"`
+}
+
+// Add folds another tally into t.
+func (t *Tally) Add(o Tally) {
+	t.Verified += o.Verified
+	t.Detected += o.Detected
+	t.Vulnerable += o.Vulnerable
+	t.Failed += o.Failed
+}
+
+// Count tallies one outcome.
+func (t *Tally) Count(o Outcome) {
 	switch o {
 	case OutcomeVerified:
 		t.Verified++

@@ -37,38 +37,18 @@ type CaseReport struct {
 	// TotalCycles is the full run length; States counts the distinct
 	// persist states the sweep classified (the representatives of the
 	// per-cycle signature dedup).
-	TotalCycles uint64       `json:"total_cycles"`
-	States      int          `json:"states"`
-	Injections  int          `json:"injections"`
-	Verified    int          `json:"verified"`
-	Detected    int          `json:"detected"`
-	Vulnerable  int          `json:"vulnerable"`
-	Failed      int          `json:"failed"`
+	TotalCycles uint64 `json:"total_cycles"`
+	States      int    `json:"states"`
+	Injections  int    `json:"injections"`
+	crashcampaign.Tally
 	Divergences []Divergence `json:"divergences,omitempty"`
-}
-
-func (c *CaseReport) count(o crashcampaign.Outcome) {
-	c.Injections++
-	switch o {
-	case crashcampaign.OutcomeVerified:
-		c.Verified++
-	case crashcampaign.OutcomeDetected:
-		c.Detected++
-	case crashcampaign.OutcomeVulnerable:
-		c.Vulnerable++
-	case crashcampaign.OutcomeFailed:
-		c.Failed++
-	}
 }
 
 // Totals aggregates the suite.
 type Totals struct {
-	Cases       int `json:"cases"`
-	Injections  int `json:"injections"`
-	Verified    int `json:"verified"`
-	Detected    int `json:"detected"`
-	Vulnerable  int `json:"vulnerable"`
-	Failed      int `json:"failed"`
+	Cases      int `json:"cases"`
+	Injections int `json:"injections"`
+	crashcampaign.Tally
 	Divergences int `json:"divergences"`
 }
 

@@ -129,10 +129,7 @@ func Run(ctx context.Context, c Config) (*Report, error) {
 		cr := &rep.Cases[i]
 		rep.Totals.Cases++
 		rep.Totals.Injections += cr.Injections
-		rep.Totals.Verified += cr.Verified
-		rep.Totals.Detected += cr.Detected
-		rep.Totals.Vulnerable += cr.Vulnerable
-		rep.Totals.Failed += cr.Failed
+		rep.Totals.Add(cr.Tally)
 		rep.Totals.Divergences += len(cr.Divergences)
 	}
 	return rep, nil
@@ -208,7 +205,8 @@ func classifyState(c *Config, cr *CaseReport, kc crashcampaign.Case, sys *core.S
 			Seed:  crashcampaign.SeedFor(c.Seed, cr.Program, cr.Scheme, f.String(), fmt.Sprint(cycle)),
 		}
 		outcome, _ := kc.Inject(sys, inj, committed)
-		cr.count(outcome)
+		cr.Injections++
+		cr.Count(outcome)
 		if outcome != crashcampaign.OutcomeFailed || firstDiv[f] {
 			continue
 		}
